@@ -6,7 +6,6 @@
 
 #include "bench_common.h"
 #include "midas/common/timer.h"
-#include "midas/obs/metrics.h"
 
 int main() {
   using namespace midas;
@@ -79,57 +78,8 @@ int main() {
                      FmtMs(idx_maint_ms), std::to_string(add)});
   }
 
-  // Incremental-view sweep: the same evolving world run with the
-  // materialized views on and off, across batch sizes from 1% to 50% of
-  // |D|. With views on, refresh cost should track |Δ| (sub-linear rounds at
-  // the small ratios); with views off every round pays the full |D| rescan.
-  // Every cell is a fresh world (same seed) so the ratios stay comparable;
-  // minor-only rounds (huge epsilon) isolate the refresh phase from
-  // candidate/swap noise, and sample_cap=0 keeps the evaluation universe
-  // exact — the regime the delta path is built for.
-  Table views("Incremental views  round latency vs |Delta|/|D| (3-round mean)",
-              {"|Delta|/|D|", "views on", "views off", "speedup",
-               "strategy"});
-  struct Ratio {
-    double pct;
-    const char* tag;
-  };
-  obs::MetricsRegistry& reg = obs::MetricsRegistry::Current();
-  for (const Ratio& ratio :
-       {Ratio{1.0, "r01"}, Ratio{5.0, "r05"}, Ratio{20.0, "r20"},
-        Ratio{50.0, "r50"}}) {
-    double mean_ms[2] = {0.0, 0.0};  // [views on, views off]
-    std::string strategy = "off";
-    for (int views_on = 1; views_on >= 0; --views_on) {
-      MidasConfig vcfg = LightConfig(7);
-      vcfg.sample_cap = 0;      // exact universe: clean delta semantics
-      vcfg.num_threads = 1;     // serial: latency differences are the path
-      vcfg.epsilon = 1e9;       // minor-only rounds isolate the refresh
-      vcfg.incremental_views = views_on != 0;
-      World world(MoleculeGenerator::PubchemLike(Scaled(150)), vcfg, 7);
-      // Warmup round: seeds the committed view base and the rescan EWMA.
-      world.engine->ApplyUpdate(world.MakeDelta(ratio.pct, false));
-      double total = 0.0;
-      for (int rep = 0; rep < 3; ++rep) {
-        MaintenanceStats st =
-            world.engine->ApplyUpdate(world.MakeDelta(ratio.pct, false));
-        total += st.total_ms;
-        if (views_on != 0) strategy = st.ViewStrategy();
-      }
-      mean_ms[views_on == 0] = total / 3.0;
-      reg.GetGauge(std::string("bench_view_round_ms_") + ratio.tag +
-                   (views_on != 0 ? "_on" : "_off"))
-          ->Set(total / 3.0);
-    }
-    views.AddRow({FmtPct(ratio.pct, 0), FmtMs(mean_ms[0]), FmtMs(mean_ms[1]),
-                  Fmt(mean_ms[0] > 0.0 ? mean_ms[1] / mean_ms[0] : 0.0, 2) +
-                      "x",
-                  strategy});
-  }
-
   build.Print();
   maintain.Print();
-  views.Print();
   EmitMetricsJson();
   WriteBenchJson("index_cost");
   return 0;

@@ -130,8 +130,7 @@ int main(int argc, char** argv) {
   std::cout << std::left << std::setw(5) << "day" << std::setw(8) << "|D|"
             << std::setw(8) << "delta" << std::setw(8) << "type"
             << std::setw(8) << "swaps" << std::setw(10) << "PMT(ms)"
-            << std::setw(10) << "MP%" << std::setw(7) << "trunc"
-            << std::setw(8) << "view" << "\n";
+            << std::setw(10) << "MP%" << std::setw(7) << "trunc" << "\n";
 
   Rng chaos(99);
   for (int day = 1; day <= 10; ++day) {
@@ -164,9 +163,6 @@ int main(int argc, char** argv) {
     MIDAS_MAINTENANCE_PHASES(MIDAS_X)
 #undef MIDAS_X
     record->truncated = stats.truncated;
-    record->view_strategy = stats.ViewStrategy();
-    record->view_delta_rows = stats.view_delta_rows;
-    record->view_rescan_rows = stats.view_rescan_rows;
     record->budget_steps = trace.budget_steps();
     record->cache_hits = trace.cache_hits();
     record->cache_misses = trace.cache_misses();
@@ -201,7 +197,7 @@ int main(int argc, char** argv) {
               << stats.swaps << std::setw(10) << std::fixed
               << std::setprecision(1) << stats.total_ms << std::setw(10)
               << mp << std::setw(7) << (stats.truncated ? "yes" : "-")
-              << std::setw(8) << stats.ViewStrategy() << "\n";
+              << "\n";
 
     // The why behind each swap, straight from the provenance ledger: the
     // rationale was captured at the decision site, not reconstructed.

@@ -122,11 +122,13 @@ void TaskPool::RunChunk(const Chunk& c) {
     obs::SpanProfiler::SetInheritedPrefix(std::move(prev_prefix));
     obs::TraceContext::Exchange(prev_trace);
   }
+  // Decrement and notify under done_mu: the submitter re-checks
+  // `remaining` only while holding it, so it cannot see 0, return and
+  // destroy the stack Batch until this thread has released the lock and
+  // stopped touching the batch.
   size_t span = c.end - c.begin;
+  std::lock_guard<std::mutex> lock(b->done_mu);
   if (b->remaining.fetch_sub(span, std::memory_order_acq_rel) == span) {
-    // Last chunk of the batch: wake the submitter. Taking done_mu between
-    // its predicate check and its wait closes the lost-wakeup window.
-    { std::lock_guard<std::mutex> lock(b->done_mu); }
     b->done_cv.notify_all();
   }
 }

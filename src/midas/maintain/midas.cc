@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 #include <thread>
 
@@ -19,9 +17,9 @@ namespace midas {
 // Trips when MaintenanceStats gains (or loses) a field without the
 // MIDAS_MAINTENANCE_PHASES list / ToJson / FromJson being updated: the
 // struct is exactly total_ms + the 8 phase doubles + graphlet_distance +
-// 4 bools + 4 ints (padded) on the LP64 ABIs CI builds on.
+// 2 bools + 4 ints (padded) on the LP64 ABIs CI builds on.
 static_assert(sizeof(MaintenanceStats) ==
-                  10 * sizeof(double) + 24 /* 4 bools + 4 ints + padding */,
+                  10 * sizeof(double) + 24 /* 2 bools + 4 ints + padding */,
               "MaintenanceStats layout changed: update "
               "MIDAS_MAINTENANCE_PHASES, ToJson/FromJson and "
               "docs/observability.md");
@@ -33,19 +31,6 @@ int ResolveNumThreads(int requested) {
   if (requested > 0) return requested;
   unsigned hw = std::thread::hardware_concurrency();
   return hw == 0 ? 1 : static_cast<int>(hw);
-}
-
-// MIDAS_VIEWS env kill-switch: "off"/"0"/"false" force-disables the
-// incremental views process-wide regardless of the config flag (the
-// views-off ctest configuration relies on this to exercise the oracle).
-bool ViewsEnabled(bool config_flag) {
-  const char* env = std::getenv("MIDAS_VIEWS");
-  if (env != nullptr &&
-      (std::strcmp(env, "off") == 0 || std::strcmp(env, "0") == 0 ||
-       std::strcmp(env, "false") == 0)) {
-    return false;
-  }
-  return config_flag;
 }
 
 }  // namespace
@@ -119,8 +104,7 @@ MidasEngine::MidasEngine(GraphDatabase db, const MidasConfig& config)
       rng_(config.seed),
       pool_(std::make_unique<TaskPool>(ResolveNumThreads(config.num_threads))),
       db_(std::move(db)),
-      history_(config.history_capacity),
-      views_(ViewsEnabled(config.incremental_views)) {
+      history_(config.history_capacity) {
   // Keep the swap thresholds in sync with the top-level κ/λ knobs.
   config_.swap.kappa = config_.kappa;
   config_.swap.lambda = config_.lambda;
@@ -136,11 +120,7 @@ void MidasEngine::Initialize() {
   RebuildCsgsFromClusters();
   fct_index_ = FctIndex::Build(db_, fcts_);
   ife_index_ = IfeIndex::Build(db_, fcts_);
-  {
-    std::vector<Graph> trees = GedFeatureTrees(fcts_);
-    ged_digest_ = GedFeatureDigest(trees);
-    ged_ = HybridGed(std::move(trees), &round_budget_);
-  }
+  ged_ = HybridGed(GedFeatureTrees(fcts_), &round_budget_);
   eval_ = std::make_unique<CoverageEvaluator>(db_, config_.sample_cap, rng_,
                                               &fct_index_, &ife_index_);
   eval_->set_pool(pool_.get());
@@ -154,11 +134,6 @@ void MidasEngine::Initialize() {
   patterns_ = SelectCannedPatterns(db_, fcts_, csgs_, select, rng_,
                                    &fct_index_, &ife_index_);
   SyncPatternColumns();
-  // The selection ran on its *own* evaluator (whose sampled universe may
-  // differ from eval_'s), so the fresh panel's coverage is not guaranteed
-  // against eval_'s universe — the views stay invalid and round 1 rescans,
-  // which also seeds the cost model's rescan EWMA.
-  views_.Invalidate();
   small_panel_ = SmallPatternPanel(config_.small_panel);
   small_panel_.Refresh(fcts_);
   // Ledger births for the initial selection (seq 0). Suppressed during
@@ -194,15 +169,9 @@ void MidasEngine::LoadPatterns(PatternSet set) {
   }
   indexed_patterns_.clear();
   patterns_ = std::move(set);
-  views_.Invalidate();
   RefreshAllPatternMetrics();
   RefreshDiversityAndScores(patterns_, ged_, pool_.get());
   SyncPatternColumns();
-  // The full rescan above squared every pattern against eval_'s universe,
-  // so the loaded panel is a valid delta base for the next round.
-  if (views_.enabled() && eval_ != nullptr) {
-    views_.Commit(eval_->universe(), ged_digest_);
-  }
   // Square the ledger with the externally installed panel: synthesizes
   // kRestored/kRemoved events for ids the ledger did not know about. A
   // no-op when the panel's history was restored verbatim (recovery applies
@@ -247,11 +216,7 @@ void MidasEngine::RebuildDerivedState() {
   RebuildCsgsFromClusters();
   fct_index_ = FctIndex::Build(db_, fcts_);
   ife_index_ = IfeIndex::Build(db_, fcts_);
-  {
-    std::vector<Graph> trees = GedFeatureTrees(fcts_);
-    ged_digest_ = GedFeatureDigest(trees);
-    ged_ = HybridGed(std::move(trees), &round_budget_);
-  }
+  ged_ = HybridGed(GedFeatureTrees(fcts_), &round_budget_);
   eval_ = std::make_unique<CoverageEvaluator>(db_, config_.sample_cap, rng_,
                                               &fct_index_, &ife_index_);
   eval_->set_pool(pool_.get());
@@ -272,49 +237,6 @@ void MidasEngine::RefreshAllPatternMetrics() {
   for (auto& [pid, p] : patterns_.patterns()) rows.push_back(&p);
   ParallelFor(pool_.get(), rows.size(), [&](size_t i) {
     RefreshPatternMetrics(*rows[i], *eval_, fcts_);
-  });
-}
-
-void MidasEngine::DeltaRefreshPatternMetrics(
-    const view::ViewCatalog::Plan& plan,
-    const std::set<EdgeLabelPair>& changed_pairs) {
-  std::vector<CannedPattern*> rows;
-  rows.reserve(patterns_.patterns().size());
-  for (auto& [pid, p] : patterns_.patterns()) rows.push_back(&p);
-  const size_t universe = eval_->universe().size();
-  const size_t db_size = db_.size();
-  ParallelFor(pool_.get(), rows.size(), [&](size_t i) {
-    CannedPattern& p = *rows[i];
-    // Coverage: survivors keep their verdicts (data graphs are immutable,
-    // ids never reused), removed universe ids drop without any VF2 work,
-    // and only the Δ⁺ ids are probed — through the FCT/IFE candidate filter
-    // and the containment memo, exactly like the oracle's scan. The result
-    // is the same set the oracle would compute, hence the same bytes.
-    p.coverage.DifferenceWith(plan.removed);
-    if (!plan.added.empty()) {
-      p.coverage.UnionWith(eval_->CoverageOver(p.graph, plan.added));
-    }
-    p.scov = universe == 0 ? 0.0
-                           : static_cast<double>(p.coverage.size()) /
-                                 static_cast<double>(universe);
-    // lcov numerator: dirty only when the pattern's edge-label pairs
-    // intersect the batch's changed pairs — edge_occ_ is exact for every
-    // pair, so an untouched pair's occurrence list is unchanged. The ratio
-    // always recomputes (|D| moves every round).
-    bool lcov_dirty = false;
-    for (const EdgeLabelPair& lp : p.graph.DistinctEdgeLabels()) {
-      if (changed_pairs.count(lp) != 0) {
-        lcov_dirty = true;
-        break;
-      }
-    }
-    if (lcov_dirty) {
-      p.lcov_count = eval_->LabelCoverageCount(p.graph, fcts_);
-    }
-    p.lcov = db_size == 0 ? 0.0
-                          : static_cast<double>(p.lcov_count) /
-                                static_cast<double>(db_size);
-    p.cog = p.graph.CognitiveLoad();
   });
 }
 
@@ -446,10 +368,6 @@ MaintenanceStats MidasEngine::ApplyUpdate(const BatchUpdate& raw_delta,
   std::vector<double> psi_after;
   std::vector<GraphId> added;
   std::vector<std::pair<GraphId, ClusterId>> deletion_clusters;
-  // Edge-label pairs the batch touches — the lcov views' dirtying key: a
-  // pattern's label-coverage accumulator can only change when one of its
-  // edge-label pairs gained or lost occurrence rows.
-  std::set<EdgeLabelPair> changed_pairs;
   {
     obs::TraceSpan span("midas_maintain_apply_ms", &stats.apply_ms);
     // Deterministic slow-down hook for tracing tests: stalls the apply
@@ -469,33 +387,12 @@ MaintenanceStats MidasEngine::ApplyUpdate(const BatchUpdate& raw_delta,
       }
     }
 
-    // Deleted graphs' labels must be read before ApplyBatch erases them.
-    if (views_.enabled()) {
-      for (GraphId id : delta.deletions) {
-        const Graph* g = db_.Find(id);
-        if (g == nullptr) continue;
-        for (const EdgeLabelPair& lp : g->DistinctEdgeLabels()) {
-          changed_pairs.insert(lp);
-        }
-      }
-    }
-
     // Apply ΔD to the database and the graphlet census (ESU counts of the
     // added graphs fan out over the pool).
     for (GraphId id : delta.deletions) census_.Remove(id);
     added = db_.ApplyBatch(delta);
     census_.AddBatch(db_, added, pool_.get());
     psi_after = census_.Distribution();
-
-    if (views_.enabled()) {
-      for (GraphId id : added) {
-        const Graph* g = db_.Find(id);
-        if (g == nullptr) continue;
-        for (const EdgeLabelPair& lp : g->DistinctEdgeLabels()) {
-          changed_pairs.insert(lp);
-        }
-      }
-    }
   }
   MIDAS_FAILPOINT_ABORT("midas.apply_update.after_apply");
 
@@ -574,52 +471,15 @@ MaintenanceStats MidasEngine::ApplyUpdate(const BatchUpdate& raw_delta,
   // classify (lines 8-11). The span resumes for the companion-panel
   // refresh after swapping.
   obs::TraceSpan refresh_span("midas_maintain_refresh_ms", &stats.refresh_ms);
-  {
-    std::vector<Graph> trees = GedFeatureTrees(fcts_);
-    ged_digest_ = GedFeatureDigest(trees);
-    ged_ = HybridGed(std::move(trees), &round_budget_);
-  }
-  // A digest move means the feature trees behind the estimator changed, so
-  // the pairwise-distance view self-clears (stale distances cannot alias).
-  views_.pair_view().SetDigest(ged_digest_);
+  ged_ = HybridGed(GedFeatureTrees(fcts_), &round_budget_);
   eval_->Resample(rng_);
-
-  // Strategy choice: delta-apply the universe churn Δ⁺/Δ⁻ into the
-  // coverage/lcov views, or run the full-recompute oracle. Both paths
-  // produce identical bytes; the cost model only decides which is faster
-  // this round, and the choice is surfaced in stats/metrics/flight records.
-  const size_t refresh_rows = patterns_.size();
-  view::ViewCatalog::Plan plan =
-      views_.PlanRefresh(refresh_rows, eval_->universe());
-  {
-    auto refresh_start = std::chrono::steady_clock::now();
-    if (plan.use_delta) {
-      DeltaRefreshPatternMetrics(plan, changed_pairs);
-    } else {
-      RefreshAllPatternMetrics();
-    }
-    double refresh_wall_ms =
-        std::chrono::duration<double, std::milli>(
-            std::chrono::steady_clock::now() - refresh_start)
-            .count();
-    if (plan.use_delta) {
-      views_.ObserveDelta(refresh_wall_ms,
-                          plan.added.size() + plan.removed.size());
-      stats.view_delta = true;
-      stats.view_delta_rows = static_cast<int>(refresh_rows);
-    } else if (views_.enabled()) {
-      views_.ObserveRescan(refresh_wall_ms, refresh_rows);
-      stats.view_fallback = plan.fallback;
-      stats.view_rescan_rows = static_cast<int>(refresh_rows);
-    }
-  }
+  RefreshAllPatternMetrics();
+  stats.view_rescan_rows = static_cast<int>(patterns_.size());
   // Shed mode (overload ladder): the pairwise-GED diversity refresh is the
   // round's most expendable expense — skipping it leaves diversity/score
   // columns stale but every structural invariant intact.
   if (!config_.shed_diversity_refresh) {
-    view::RefreshDiversityAndScoresCached(
-        patterns_, ged_, views_.enabled() ? &views_.pair_view() : nullptr,
-        &round_budget_, pool_.get());
+    RefreshDiversityAndScores(patterns_, ged_, pool_.get());
   }
 
   ModificationReport report =
@@ -698,8 +558,6 @@ MaintenanceStats MidasEngine::ApplyUpdate(const BatchUpdate& raw_delta,
         swap_config.budget = &round_budget_;
         swap_config.pool = pool_.get();
         swap_config.observer = observer;
-        swap_config.pair_view =
-            views_.enabled() ? &views_.pair_view() : nullptr;
         SwapStats sw = MultiScanSwap(patterns_, candidates, *eval_, fcts_,
                                      swap_config, ged_);
         stats.swaps = sw.swaps;
@@ -708,9 +566,7 @@ MaintenanceStats MidasEngine::ApplyUpdate(const BatchUpdate& raw_delta,
             RandomSwap(patterns_, candidates, *eval_, fcts_, rng_, observer);
       }
       if (!config_.shed_diversity_refresh) {
-        view::RefreshDiversityAndScoresCached(
-            patterns_, ged_, views_.enabled() ? &views_.pair_view() : nullptr,
-            &round_budget_, pool_.get());
+        RefreshDiversityAndScores(patterns_, ged_, pool_.get());
       }
     }
   }
@@ -725,14 +581,6 @@ MaintenanceStats MidasEngine::ApplyUpdate(const BatchUpdate& raw_delta,
   index_span.Resume();
   SyncPatternColumns();
   index_span.Stop();
-
-  // Commit the views' base state: every pattern's coverage/lcov now squares
-  // with eval_'s universe (the refresh ran either path to identical bytes,
-  // and swapped-in winners were evaluated against the same universe), so
-  // the next round may delta from here.
-  if (views_.enabled()) {
-    views_.Commit(eval_->universe(), ged_digest_);
-  }
 
   total_span.Stop();
 
@@ -810,13 +658,6 @@ MaintenanceStats MidasEngine::ApplyUpdate(const BatchUpdate& raw_delta,
         ->Increment(static_cast<uint64_t>(stats.swaps));
     reg.GetCounter("midas_maintain_candidates_total")
         ->Increment(static_cast<uint64_t>(stats.candidates));
-    reg.GetCounter("midas_view_delta_rows_total")
-        ->Increment(static_cast<uint64_t>(stats.view_delta_rows));
-    reg.GetCounter("midas_view_rescan_rows_total")
-        ->Increment(static_cast<uint64_t>(stats.view_rescan_rows));
-    if (stats.view_fallback) {
-      reg.GetCounter("midas_view_fallback_total")->Increment();
-    }
     reg.GetGauge("midas_maintain_db_size")
         ->Set(static_cast<double>(db_.size()));
     reg.GetGauge("midas_maintain_patterns")
@@ -915,13 +756,8 @@ std::string MaintenanceStats::ToJson() const {
   w.Key("truncated").Value(truncated);
   w.Key("candidates").Value(candidates);
   w.Key("swaps").Value(swaps);
-  w.Key("view_delta").Value(view_delta);
-  w.Key("view_fallback").Value(view_fallback);
   w.Key("view_delta_rows").Value(view_delta_rows);
   w.Key("view_rescan_rows").Value(view_rescan_rows);
-  // Derived, ignored by FromJson: the human-facing strategy spelling
-  // (/statusz splices this object verbatim).
-  w.Key("view_strategy").Value(ViewStrategy());
   w.EndObject();
   return w.str();
 }
@@ -955,16 +791,6 @@ MaintenanceStats MaintenanceStats::FromJson(std::string_view json, bool* ok) {
   } else {
     stats.truncated = tit->second;
   }
-  auto boolean = [&](const char* key, bool* out) {
-    auto it = parsed.bools.find(key);
-    if (it == parsed.bools.end()) {
-      complete = false;
-      return;
-    }
-    *out = it->second;
-  };
-  boolean("view_delta", &stats.view_delta);
-  boolean("view_fallback", &stats.view_fallback);
   double value = 0.0;
   number("candidates", &value);
   stats.candidates = static_cast<int>(value);

@@ -21,7 +21,6 @@
 #include "midas/obs/lineage.h"
 #include "midas/select/candidate_gen.h"
 #include "midas/select/catapult.h"
-#include "midas/view/view_catalog.h"
 
 namespace midas {
 
@@ -86,16 +85,6 @@ struct MidasConfig {
   /// thread-count-invariant: identical config + seed produce identical
   /// pattern sets at any setting (see docs/performance.md).
   int num_threads = 1;
-
-  /// Incrementally-maintained materialized views (view/view_catalog.h):
-  /// the refresh phase delta-applies per-pattern coverage, lcov
-  /// accumulators and the pairwise-distance memo from the round's Δ⁺/Δ⁻
-  /// instead of rescanning |D|, falling back to the full-recompute oracle
-  /// when the cost model says the churn is too large. Both paths are
-  /// bit-identical, so this is purely a performance knob. The MIDAS_VIEWS
-  /// environment variable ("off"/"0") force-disables it process-wide — the
-  /// views-off ctest configuration uses that to keep the oracle exercised.
-  bool incremental_views = true;
 };
 
 /// Sanity-checks a configuration before an engine is built. Returns
@@ -140,24 +129,13 @@ struct MaintenanceStats {
   /// short (see MidasConfig::round_deadline_ms). The round still completed
   /// and the panel is valid — quality is degraded, not correctness.
   bool truncated = false;
-  /// Incremental-view outcome of the refresh phase (view/view_catalog.h):
-  /// `view_delta` when the delta-apply path ran; `view_fallback` when the
-  /// views were usable but the cost model (or the |Δ|/|D| guard) chose the
-  /// full-recompute oracle instead. Both false = views disabled or not yet
-  /// seeded. The row counts split the round's pattern refreshes by path.
-  bool view_delta = false;
-  bool view_fallback = false;
   int candidates = 0;
   int swaps = 0;
+  /// Patterns whose metrics the refresh phase recomputed (always all of
+  /// them; delta rows stay 0). Their one reader is perfbench's
+  /// view.delta_row_share.
   int view_delta_rows = 0;
   int view_rescan_rows = 0;
-
-  /// "delta", "rescan" or "off" — the /statusz and event-log spelling of
-  /// the refresh strategy this round.
-  const char* ViewStrategy() const {
-    if (view_delta) return "delta";
-    return view_rescan_rows > 0 ? "rescan" : "off";
-  }
 
   /// Sum of every phase field (excluding total_ms); the phases cover the
   /// whole round, so this tracks total_ms to within span overhead.
@@ -374,10 +352,6 @@ class MidasEngine {
   /// Telemetry of every ApplyUpdate round since Initialize().
   const MaintenanceHistory& history() const { return history_; }
 
-  /// The incremental-view catalog (cost model + pairwise-distance view).
-  /// Read-only: tests and the serving host inspect strategy state here.
-  const view::ViewCatalog& views() const { return views_; }
-
   /// The engine-owned task pool (never null; serial when num_threads <= 1).
   TaskPool* pool() const { return pool_.get(); }
 
@@ -392,14 +366,6 @@ class MidasEngine {
   void RebuildCsgsFromClusters();
   /// Recomputes scov/lcov/cog of every pattern (one pool task per pattern).
   void RefreshAllPatternMetrics();
-  /// Delta-applies the round's Δ⁺/Δ⁻ to every pattern's coverage/lcov view:
-  /// removed universe ids are cleared from coverage bitsets without any VF2
-  /// work, added ids are probed via CoverageOver (FCT/IFE candidate filter
-  /// first), and lcov numerators are re-unioned only for patterns whose
-  /// edge labels intersect `changed_pairs`. Produces byte-identical state
-  /// to RefreshAllPatternMetrics by construction.
-  void DeltaRefreshPatternMetrics(const view::ViewCatalog::Plan& plan,
-                                  const std::set<EdgeLabelPair>& changed_pairs);
   /// Registers/unregisters pattern columns in both indices to match P.
   void SyncPatternColumns();
   /// Affected csgs (C⁺ ∪ C⁻ ∪ newly created) as a csg map view.
@@ -434,15 +400,6 @@ class MidasEngine {
   /// address; reset per round, returned to unlimited between rounds so
   /// out-of-round calls (LoadPatterns, CurrentQuality) never degrade.
   ExecBudget round_budget_;
-  /// Materialized-view catalog: committed evaluation universe, per-row cost
-  /// EWMAs and the pairwise-distance memo. Invalid until the first full
-  /// rescan commits it (Initialize's selection uses its own evaluator, so
-  /// its coverage is not guaranteed against eval_'s universe).
-  view::ViewCatalog views_;
-  /// Digest of the feature trees behind ged_ — the pair-distance view's
-  /// validity key (view entries estimated under another FCT generation can
-  /// never be read back).
-  uint64_t ged_digest_ = 0;
   obs::PatternLedger ledger_;
   bool lineage_replay_ = false;
   uint64_t round_seq_ = 0;

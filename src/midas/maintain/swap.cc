@@ -9,7 +9,6 @@
 #include "midas/graph/ged.h"
 #include "midas/obs/metrics.h"
 #include "midas/obs/trace.h"
-#include "midas/view/pair_distance_view.h"
 
 namespace midas {
 
@@ -97,28 +96,12 @@ class SwapEngine {
 
   // Memoized pairwise distance. Keys: pattern ids for set members, the
   // candidate's address for candidates (graphs are immutable during the
-  // swap). Unordered pair -> one cache entry. Pattern-pattern pairs are
-  // additionally served from (and written back to) the engine's persistent
-  // PairDistanceView, so distances already estimated by this round's
-  // diversity refresh — or by earlier rounds under the same feature
-  // digest — never re-run the estimator. Bypassed while the budget is
-  // exhausted (the view holds refined values; HybridGed would return the
-  // cheap bound in that state, and serving the refined one would diverge
-  // from the oracle).
+  // swap). Unordered pair -> one cache entry. This per-call memo is the only
+  // one that can hold candidate pairs; across rounds, pattern pairs are
+  // served by the estimator's own content-keyed ComputeCache entry.
   double Dist(uint64_t ka, const Graph& a, uint64_t kb,
               const Graph& b) const {
     if (ka > kb) return Dist(kb, b, ka, a);
-    const bool persistent_pair =
-        config_.pair_view != nullptr &&
-        (kb & 0x8000000000000000ULL) == 0 &&
-        !BudgetExhausted(config_.budget);
-    if (persistent_pair) {
-      double d = 0.0;
-      if (config_.pair_view->Lookup(static_cast<PatternId>(ka),
-                                    static_cast<PatternId>(kb), &d)) {
-        return d;
-      }
-    }
     {
       std::lock_guard<std::mutex> lock(dist_mu_);
       auto it = dist_cache_.find({ka, kb});
@@ -129,10 +112,6 @@ class SwapEngine {
     double d = ged_(a, b);
     std::lock_guard<std::mutex> lock(dist_mu_);
     dist_cache_.emplace(std::make_pair(ka, kb), d);
-    if (persistent_pair && !BudgetExhausted(config_.budget)) {
-      config_.pair_view->Store(static_cast<PatternId>(ka),
-                               static_cast<PatternId>(kb), d);
-    }
     return d;
   }
 
@@ -338,11 +317,6 @@ class SwapEngine {
       }
       set_.Remove(worst_id);
       label_cov_.erase(worst_id);
-      if (config_.pair_view != nullptr) {
-        // The evicted pattern's id never returns (monotonic allocator), so
-        // its rows are dead weight — drop them now.
-        config_.pair_view->ForgetPattern(worst_id);
-      }
       CannedPattern fresh = cand;
       PatternId new_id = set_.Add(std::move(fresh));
       label_cov_[new_id] = cand_label_cov;

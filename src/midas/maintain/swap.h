@@ -9,10 +9,6 @@
 
 namespace midas {
 
-namespace view {
-class PairDistanceView;
-}  // namespace view
-
 /// Multi-scan swap-based pattern maintenance (Section 6.2).
 ///
 /// Candidates and existing patterns are ranked by the adapted score
@@ -57,15 +53,6 @@ struct SwapConfig {
   /// Optional swap-decision observer (see SwapObserver below); empty =
   /// no capture.
   std::function<void(const struct SwapDecision&)> observer;
-
-  /// Optional persistent pairwise-distance view (non-owning; nullptr = the
-  /// per-call cache only). Pattern-pattern distances estimated during the
-  /// round's diversity refresh are served from here instead of re-running
-  /// the estimator, and accepted swaps forget the evicted pattern's rows.
-  /// Candidate distances never enter it (candidates have no stable id).
-  /// Same budget discipline as ComputeCache: bypassed while the round
-  /// budget is exhausted, written only by exact estimates.
-  view::PairDistanceView* pair_view = nullptr;
 };
 
 struct SwapStats {

@@ -54,8 +54,8 @@ void CheckPattern(const MidasEngine& engine, const CannedPattern& p,
                     IntegrityTier::kDeep,
                     "pattern " + std::to_string(p.id), detail.str()});
   }
-  // The incremental views delta-maintain the lcov numerator; it must match
-  // a from-scratch re-union exactly (it is an integer — no epsilon).
+  // The lcov numerator must match a from-scratch re-union exactly (it is an
+  // integer — no epsilon).
   if (recomputed.lcov_count != p.lcov_count) {
     out->push_back(
         {IntegrityViolationKind::kPatternMetricMismatch, IntegrityTier::kDeep,

@@ -46,9 +46,6 @@ void AppendFull(JsonWriter& w, const FlightRecord& r) {
   w.Key("budget_steps").Value(r.budget_steps);
   w.Key("truncated").Value(r.truncated);
   w.Key("degrade_reason").Value(r.degrade_reason);
-  w.Key("view_strategy").Value(r.view_strategy);
-  w.Key("view_delta_rows").Value(static_cast<uint64_t>(r.view_delta_rows));
-  w.Key("view_rescan_rows").Value(static_cast<uint64_t>(r.view_rescan_rows));
   w.Key("cache_hits").Value(r.cache_hits);
   w.Key("cache_misses").Value(r.cache_misses);
   w.Key("slo_violation").Value(r.slo_violation);
@@ -80,7 +77,7 @@ std::string FlightRecord::SlowestPhase(double* ms) const {
 size_t FlightRecord::ApproxBytes() const {
   size_t bytes = sizeof(*this);
   bytes += trace_id.size() + admission.size() + outcome.size() +
-           error.size() + degrade_reason.size() + view_strategy.size();
+           error.size() + degrade_reason.size();
   for (const std::string& link : links) bytes += sizeof(std::string) +
                                                  link.size();
   for (const auto& [name, ms] : phase_ms) {
@@ -112,7 +109,6 @@ void FlightRecord::AppendSummary(JsonWriter& w) const {
   }
   w.Key("retries").Value(retries);
   w.Key("truncated").Value(truncated);
-  w.Key("view_strategy").Value(view_strategy);
   w.Key("slo_violation").Value(slo_violation);
   w.Key("drift_coincident").Value(drift_coincident);
   w.EndObject();

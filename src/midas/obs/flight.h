@@ -55,12 +55,6 @@ struct FlightRecord {
   uint64_t budget_steps = 0;        ///< ExecBudget steps the round consumed
   bool truncated = false;           ///< budget exhausted mid-round
   std::string degrade_reason = "none";  ///< ExecBudget::CauseName spelling
-  /// Incremental-view outcome of the round's metric refresh: "delta",
-  /// "rescan" or "off" (MaintenanceStats::ViewStrategy), plus the per-path
-  /// pattern-row split — a delta round that suddenly rescans shows up here.
-  std::string view_strategy = "off";
-  int64_t view_delta_rows = 0;
-  int64_t view_rescan_rows = 0;
   uint64_t cache_hits = 0;          ///< ComputeCache lookups, this trace
   uint64_t cache_misses = 0;
 

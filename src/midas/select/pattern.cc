@@ -148,13 +148,8 @@ void CoverageEvaluator::Resample(Rng& rng) {
 }
 
 IdSet CoverageEvaluator::CoverageOf(const Graph& pattern) const {
-  return CoverageOver(pattern, universe_);
-}
-
-IdSet CoverageEvaluator::CoverageOver(const Graph& pattern,
-                                      const IdSet& subset) const {
   const std::string pattern_code = GraphContentCode(pattern);
-  IdSet candidates = subset;
+  IdSet candidates = universe_;
   if (fct_index_ != nullptr) {
     candidates = fct_index_->CandidateGraphs(
         FctCountsFor(pattern, pattern_code), candidates);
@@ -247,23 +242,18 @@ GedEstimator LabelBoundGed() {
   };
 }
 
-uint64_t GedFeatureDigest(const std::vector<Graph>& feature_trees) {
-  uint64_t digest = 0xcbf29ce484222325ULL;  // FNV-1a
-  for (const Graph& t : feature_trees) {
-    for (unsigned char c : GraphContentCode(t)) {
-      digest = (digest ^ c) * 0x100000001B3ULL;
-    }
-  }
-  return digest;
-}
-
 GedEstimator HybridGed(std::vector<Graph> feature_trees, ExecBudget* budget) {
   auto features = std::make_shared<std::vector<Graph>>(
       std::move(feature_trees));
   // The refinement's value depends on the feature trees (they tighten the
   // lower bound), so the memo key carries their digest — entries from a
   // different FCT generation can never alias.
-  const uint64_t feature_digest = GedFeatureDigest(*features);
+  uint64_t feature_digest = 0xcbf29ce484222325ULL;  // FNV-1a
+  for (const Graph& t : *features) {
+    for (unsigned char c : GraphContentCode(t)) {
+      feature_digest = (feature_digest ^ c) * 0x100000001B3ULL;
+    }
+  }
   return [features, budget, feature_digest](const Graph& a, const Graph& b) {
     int cheap = GedLowerBound(a, b);
     if (cheap > 1) return static_cast<double>(cheap);

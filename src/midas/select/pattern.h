@@ -31,10 +31,8 @@ struct CannedPattern {
   IdSet coverage;
   double scov = 0.0;  ///< subgraph coverage |G_p| / |D_s|
   double lcov = 0.0;  ///< label coverage of the pattern's edges
-  /// lcov numerator |∪_e L(e, D)| — the label-coverage accumulator the
-  /// incremental views delta-maintain (lcov = lcov_count / |D|). Kept next
-  /// to the ratio so a clean pattern's lcov can follow a changing |D|
-  /// without re-unioning its occurrence lists.
+  /// lcov numerator |∪_e L(e, D)| (lcov = lcov_count / |D|); the deep fsck
+  /// tier checks it exactly, with no float epsilon.
   size_t lcov_count = 0;
   double cog = 0.0;   ///< cognitive load |E_p| * density
   double div = 0.0;   ///< min estimated GED to the rest of the set
@@ -113,16 +111,11 @@ class CoverageEvaluator {
   /// Ids of universe graphs containing the pattern.
   IdSet CoverageOf(const Graph& pattern) const;
 
-  /// Ids of `subset` graphs containing the pattern (subset must be within
-  /// the universe). The delta-apply view path probes only the universe ids
-  /// that entered this round; CoverageOf is CoverageOver(universe).
-  IdSet CoverageOver(const Graph& pattern, const IdSet& subset) const;
-
   /// Label coverage of the pattern's edge labels over the full database:
   /// |∪_e L(e, D)| / |D|.
   double LabelCoverageOf(const Graph& pattern, const FctSet& fcts) const;
 
-  /// The lcov numerator |∪_e L(e, D)| (the view-maintained accumulator).
+  /// The lcov numerator |∪_e L(e, D)|.
   size_t LabelCoverageCount(const Graph& pattern, const FctSet& fcts) const;
 
   const IdSet& universe() const { return universe_; }
@@ -152,7 +145,7 @@ class CoverageEvaluator {
  private:
   /// Memoized FctIndex::FeatureCounts(pattern), keyed by the pattern's
   /// content code: one computation per distinct pattern graph between
-  /// feature-row syncs, no matter how many CoverageOf/CoverageOver calls a
+  /// feature-row syncs, no matter how many CoverageOf calls a
   /// round issues. Thread-safe (CoverageOf runs on pool workers); values
   /// are deterministic, so racing writers agree.
   std::vector<std::pair<uint32_t, int32_t>> FctCountsFor(
@@ -192,12 +185,6 @@ GedEstimator LabelBoundGed();
 /// bound / anytime upper bound instead of blocking the round.
 GedEstimator HybridGed(std::vector<Graph> feature_trees,
                        ExecBudget* budget = nullptr);
-
-/// FNV-1a digest of the feature trees that parameterize HybridGed — the
-/// cache-validity key of both the ComputeCache GED memo and the pairwise
-/// distance view: distances estimated under a different FCT generation can
-/// never alias.
-uint64_t GedFeatureDigest(const std::vector<Graph>& feature_trees);
 
 /// Recomputes div (min pairwise distance under `ged`) and score for every
 /// pattern in the set. With a pool, the per-pattern min-GED rows run in

@@ -531,9 +531,6 @@ void EngineHost::RunBatch(BoundedUpdateQueue::Item item) {
         MIDAS_MAINTENANCE_PHASES(MIDAS_X)
 #undef MIDAS_X
         record->truncated = round_stats.truncated;
-        record->view_strategy = round_stats.ViewStrategy();
-        record->view_delta_rows = round_stats.view_delta_rows;
-        record->view_rescan_rows = round_stats.view_rescan_rows;
         FinishFlight(std::move(record), trace.get(), pre_snapshot);
       }
       return;

@@ -109,27 +109,44 @@ TEST(VerifyTest, CleanCheckpointVerifiesAtEveryLevel) {
 }
 
 TEST(VerifyTest, DeepTierAgainstLiveEngineIsClean) {
-  MoleculeGenerator gen(13);
-  MoleculeGenConfig data = MoleculeGenerator::EmolLike(20);
-  auto engine = MakeEngine(gen, data);
+  // Two inputs: a freshly initialized engine, and one that has run a
+  // 10-round stream of in-family growth, periodic new-family arrivals and
+  // periodic deletions.
+  for (int stream_rounds : {0, 10}) {
+    SCOPED_TRACE("stream rounds " + std::to_string(stream_rounds));
+    MoleculeGenerator gen(13);
+    MoleculeGenConfig data = MoleculeGenerator::EmolLike(20);
+    auto engine = MakeEngine(gen, data);
+    for (int round = 0; round < stream_rounds; ++round) {
+      const bool new_family = round % 4 == 0;
+      GraphDatabase copy = engine->db();
+      BatchUpdate delta =
+          gen.GenerateAdditions(copy, data, new_family ? 6 : 3, new_family);
+      if (round % 3 == 2) {
+        delta.deletions = gen.GenerateDeletions(engine->db(), 2).deletions;
+      }
+      engine->ApplyUpdate(delta);
+    }
 
-  IntegrityReport report;
-  VerifyOptions opt;
-  VerifyEngineDeep(*engine, opt, &report);
-  EXPECT_TRUE(report.clean()) << report.Describe();
-  EXPECT_EQ(report.checks, engine->patterns().size() * 3);
+    IntegrityReport report;
+    VerifyOptions opt;
+    VerifyEngineDeep(*engine, opt, &report);
+    EXPECT_TRUE(report.clean()) << report.Describe();
+    EXPECT_EQ(report.checks, engine->patterns().size() * 3);
 
-  // The sliced variant converges to the same verdict: laps end at cursor 0.
-  IntegrityReport sliced;
-  size_t cursor = 0;
-  int slices = 0;
-  do {
-    cursor = VerifyPatternsSlice(*engine, cursor, /*deadline_ms=*/1e9,
-                                 &sliced);
-    ++slices;
-    ASSERT_LT(slices, 1000);
-  } while (cursor != 0);
-  EXPECT_TRUE(sliced.clean()) << sliced.Describe();
+    // The sliced variant converges to the same verdict: laps end at
+    // cursor 0.
+    IntegrityReport sliced;
+    size_t cursor = 0;
+    int slices = 0;
+    do {
+      cursor = VerifyPatternsSlice(*engine, cursor, /*deadline_ms=*/1e9,
+                                   &sliced);
+      ++slices;
+      ASSERT_LT(slices, 1000);
+    } while (cursor != 0);
+    EXPECT_TRUE(sliced.clean()) << sliced.Describe();
+  }
 }
 
 TEST(VerifyTest, JournalSeqGapIsTyped) {

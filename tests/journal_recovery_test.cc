@@ -12,6 +12,7 @@
 #include "midas/graph/graph_io.h"
 #include "midas/graph/subgraph_iso.h"
 #include "midas/maintain/snapshot.h"
+#include "midas/maintain/verify.h"
 #include "midas/obs/metrics.h"
 
 namespace midas {
@@ -367,10 +368,21 @@ TEST(CrashRecoveryTest, AbortAtEveryPhaseRecoversLastCommittedRound) {
         reg.GetCounter("midas_recovery_dropped_inflight_total")->Value(),
         1u);
 
-    // The recovered engine keeps working.
+    // Recovered pattern state squares with a from-scratch recomputation.
+    VerifyOptions deep;
+    deep.level = IntegrityTier::kDeep;
+    IntegrityReport after_recovery;
+    VerifyEngineDeep(*recovered, deep, &after_recovery);
+    EXPECT_TRUE(after_recovery.clean()) << after_recovery.Describe();
+
+    // The recovered engine keeps working, and its next round is just as
+    // verifiable.
     BatchUpdate d3 = MakeBatch(gen, data, *recovered, 3, false);
     recovered->ApplyUpdate(d3);
     EXPECT_EQ(recovered->db().size(), committed_db_size + 3);
+    IntegrityReport after_round;
+    VerifyEngineDeep(*recovered, deep, &after_round);
+    EXPECT_TRUE(after_round.clean()) << after_round.Describe();
   }
 }
 

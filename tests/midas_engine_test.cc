@@ -255,6 +255,26 @@ TEST(MidasEngineTest, StatsFromJsonToleratesUnknownKeys) {
   EXPECT_TRUE(ok) << extended;
   EXPECT_DOUBLE_EQ(back.total_ms, 4.0);
   EXPECT_EQ(back.candidates, 2);
+
+  // A record written before the incremental views were removed carries
+  // view_delta, view_fallback and view_strategy; event logs and /statusz
+  // dumps from that era must still parse.
+  const std::string legacy =
+      "{\"total_ms\":4,\"apply_ms\":0,\"fct_ms\":0,\"cluster_ms\":0,"
+      "\"csg_ms\":0,\"index_ms\":0,\"refresh_ms\":1.5,\"candidate_ms\":0,"
+      "\"swap_ms\":0,\"graphlet_distance\":0,\"major\":true,"
+      "\"truncated\":false,\"candidates\":2,\"swaps\":1,"
+      "\"view_delta\":false,\"view_fallback\":true,\"view_delta_rows\":0,"
+      "\"view_rescan_rows\":8,\"view_strategy\":\"rescan\"}";
+  ok = false;
+  back = MaintenanceStats::FromJson(legacy, &ok);
+  EXPECT_TRUE(ok) << legacy;
+  EXPECT_DOUBLE_EQ(back.total_ms, 4.0);
+  EXPECT_DOUBLE_EQ(back.refresh_ms, 1.5);
+  EXPECT_TRUE(back.major);
+  EXPECT_EQ(back.candidates, 2);
+  EXPECT_EQ(back.swaps, 1);
+  EXPECT_EQ(back.view_rescan_rows, 8);
 }
 
 TEST(MidasEngineTest, EventLogRecordsEveryRound) {

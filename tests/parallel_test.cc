@@ -5,6 +5,7 @@
 #include <atomic>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "midas/common/budget.h"
@@ -211,6 +212,32 @@ TEST(TaskPoolTest, ParallelMapSkipsBudgetExhaustedIndices) {
   std::vector<int> out =
       pool.ParallelMap<int>(10, [](size_t) { return 7; }, &budget);
   for (int v : out) EXPECT_EQ(v, 0);  // default-constructed slots
+}
+
+
+// Completion-handshake stress: many short back-to-back batches, each with a
+// fresh stack-allocated Batch at (usually) the same address. If the last
+// worker could still touch a finished batch after the submitter returned,
+// the next call's Batch would be constructed under it — TSan reports that
+// as a race on the batch's mutex/condvar, and plain builds hang or crash.
+// The `tsan` ctest label runs this case on its own.
+size_t RunTinyBatch(TaskPool& pool, size_t n) {
+  std::atomic<size_t> count{0};
+  pool.ParallelFor(n, [&](size_t) {
+    count.fetch_add(1, std::memory_order_relaxed);
+  });
+  return count.load();
+}
+
+TEST(TaskPoolStressTest, ParallelForHandshakeAtTwoFourEightThreads) {
+  for (int threads : {2, 4, 8}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    TaskPool pool(threads);
+    for (int rep = 0; rep < 2000; ++rep) {
+      const size_t n = 2 + static_cast<size_t>(rep % 31);
+      ASSERT_EQ(RunTinyBatch(pool, n), n) << "rep " << rep;
+    }
+  }
 }
 
 }  // namespace

@@ -6,14 +6,6 @@ maintenance/scratch phase histogram regresses by more than --threshold
 (default 25%). Tiny phases below --floor-ms are skipped — at microsecond
 scale the container's scheduling jitter dwarfs any real regression.
 
-Also gates the incremental-view strategy mix (midas_view_*_rows_total
-counters): the share of pattern rows refreshed by full rescan instead of
-delta-apply must not grow by more than --view-rescan-increase over the
-baseline — a silent regression in the view cost model (or a change that
-keeps invalidating the views) shows up here long before wall time moves on
-small bench datasets. Runs with no view traffic at all, and baselines
-predating the counters, report as "new" and pass.
-
 Also gates the pattern-quality SLIs (midas_quality_* gauges): coverage,
 label coverage and diversity are higher-is-better ratios, so a fresh value
 more than --quality-drop below the baseline fails the gate — a speedup that
@@ -108,38 +100,6 @@ def compare_quality(base_doc, fresh_doc, drop):
     return rows, failures
 
 
-def rescan_share(doc):
-    """Fraction of view-refreshed pattern rows that took the rescan path,
-    or None when the run has no view traffic (counters absent or zero)."""
-    if doc is None:
-        return None
-    counters = doc.get("metrics", {}).get("counters", {})
-    delta = counters.get("midas_view_delta_rows_total")
-    rescan = counters.get("midas_view_rescan_rows_total")
-    if delta is None and rescan is None:
-        return None
-    total = (delta or 0) + (rescan or 0)
-    if total == 0:
-        return None
-    return (rescan or 0) / total
-
-
-def compare_views(base_doc, fresh_doc, max_increase):
-    """Returns (rows, failures) for the view-strategy table."""
-    base = rescan_share(base_doc)
-    fresh = rescan_share(fresh_doc)
-    if fresh is None:
-        return [], []
-    if base is None:
-        return [("view rescan share", None, fresh, None, "new")], []
-    delta = fresh - base
-    bad = delta > max_increase
-    verdict = "REGRESSION" if bad else "ok"
-    rows = [("view rescan share", base, fresh, delta, verdict)]
-    failures = [("view rescan share", base, fresh, delta)] if bad else []
-    return rows, failures
-
-
 def main():
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("baseline")
@@ -151,9 +111,6 @@ def main():
     parser.add_argument("--quality-drop", type=float, default=0.02,
                         help="max allowed absolute drop in a quality SLI "
                              "(increase, for cognitive load)")
-    parser.add_argument("--view-rescan-increase", type=float, default=0.10,
-                        help="max allowed absolute increase in the share of "
-                             "view-refreshed rows taking the rescan path")
     parser.add_argument("--out", help="write the delta table here (markdown)")
     args = parser.parse_args()
 
@@ -206,23 +163,6 @@ def main():
         ds = f"{delta:+.1%}" if delta is not None else "-"
         lines.append(f"| {name} | {bs} | {fs} | {ds} | {verdict} |")
 
-    view_rows, view_failures = compare_views(
-        base_doc, fresh_doc, args.view_rescan_increase)
-    if view_rows:
-        lines += [
-            "",
-            f"Incremental-view gate: max rescan-share increase "
-            f"{args.view_rescan_increase}.",
-            "",
-            "| view metric | baseline | fresh | delta | verdict |",
-            "|---|---|---|---|---|",
-        ]
-        for name, b, f, delta, verdict in view_rows:
-            bs = f"{b:.4f}" if b is not None else "-"
-            fs = f"{f:.4f}" if f is not None else "-"
-            ds = f"{delta:+.4f}" if delta is not None else "-"
-            lines.append(f"| {name} | {bs} | {fs} | {ds} | {verdict} |")
-
     quality_rows, quality_failures = compare_quality(
         base_doc, fresh_doc, args.quality_drop)
     if quality_rows:
@@ -256,14 +196,6 @@ def main():
         for name, b, f, delta in regressions:
             sys.stdout.write(
                 f"  {name}: {b:.4f} ms -> {f:.4f} ms ({delta:+.1%})\n")
-    if view_failures:
-        failed = True
-        sys.stdout.write(
-            "\nFAIL: view rescan share grew beyond threshold (delta-apply "
-            "path regressed):\n")
-        for name, b, f, delta in view_failures:
-            sys.stdout.write(
-                f"  {name}: {b:.4f} -> {f:.4f} ({delta:+.4f})\n")
     if quality_failures:
         failed = True
         sys.stdout.write("\nFAIL: quality SLI regressions over threshold:\n")
